@@ -1,0 +1,13 @@
+//go:build !linux
+
+package main
+
+import "time"
+
+// pacer wakes the open-loop generator when a request is due; off Linux it
+// is the runtime's timer.
+type pacer struct{}
+
+func newPacer() (*pacer, error)              { return &pacer{}, nil }
+func (p *pacer) sleep(d time.Duration) error { time.Sleep(d); return nil }
+func (p *pacer) close() error                { return nil }
