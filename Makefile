@@ -3,13 +3,13 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all verify ci build fmt-check vet test race race-all faultinject fuzz-smoke bench-smoke cover bench bench-json obs-bench harness examples clean
+.PHONY: all verify ci build fmt-check vet test perfbench-test race race-all faultinject fuzz-smoke bench-smoke cover bench bench-json obs-bench harness examples clean
 
 all: build vet test faultinject race
 
 # verify is the one-stop pre-merge gate and the single source of truth for
 # CI: .github/workflows/ci.yml runs exactly these targets, one per job.
-verify: fmt-check build vet test race faultinject fuzz-smoke bench-smoke cover
+verify: fmt-check build vet test perfbench-test race faultinject fuzz-smoke bench-smoke cover
 
 # ci is an alias so `make ci` reproduces the pipeline locally.
 ci: verify
@@ -27,6 +27,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# perfbench/ is its own Go module (it replaces mindetail with ../), so the
+# root `go vet ./...` and `go test ./...` never reach it; vet and test its
+# correctness checks here.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-check the concurrent layers: the maintenance engine (recompute
 # worker pool, delta memo, parallel shared-class staging, sharded

@@ -184,6 +184,13 @@ func (t *AuxTable) SetStore(s AuxStore) error {
 }
 
 // EnsureIndex builds a hash index on the named plain attribute.
+//
+// Posting order is a function of the table's contents, never of how the
+// store happens to iterate: a lookup's rows reach a recomputed float SUM in
+// posting order, so an order taken from a Go map would change low bits from
+// run to run. Lists built here over existing rows are sorted by row key;
+// Load builds them in its input's row order; afterwards Adjust appends new
+// rows and removes dead ones, a deterministic function of the delta stream.
 func (t *AuxTable) EnsureIndex(attr string) error {
 	if _, ok := t.idx[attr]; ok {
 		return nil
@@ -201,6 +208,9 @@ func (t *AuxTable) EnsureIndex(attr string) error {
 	})
 	if err != nil {
 		return err
+	}
+	for _, list := range m {
+		sort.Strings(list)
 	}
 	t.idx[attr] = m
 	t.idxPos[attr] = pos
@@ -234,12 +244,14 @@ func (t *AuxTable) indexRemove(row tuple.Tuple, key string) {
 }
 
 // Load replaces the contents with a materialized relation (from
-// core.Plan.Materialize). Existing indexes are rebuilt.
+// core.Plan.Materialize). Existing indexes are rebuilt, their posting lists
+// in rel's row order (see EnsureIndex).
 func (t *AuxTable) Load(rel *ra.Relation) error {
 	if err := t.store.Clear(rel.Len()); err != nil {
 		return err
 	}
-	for _, row := range rel.Rows {
+	keys := make([]string, len(rel.Rows))
+	for i, row := range rel.Rows {
 		key := row.KeyAt(t.plainPos)
 		if _, dup, err := t.store.GetString(key); err != nil {
 			return err
@@ -253,16 +265,17 @@ func (t *AuxTable) Load(rel *ra.Relation) error {
 		if err := t.store.PutString(key, r); err != nil {
 			return err
 		}
+		keys[i] = key
 	}
-	attrs := make([]string, 0, len(t.idx))
-	for a := range t.idx {
-		attrs = append(attrs, a)
-	}
-	t.idx = make(map[string]map[string][]string)
-	for _, a := range attrs {
-		if err := t.EnsureIndex(a); err != nil {
-			return err
+	var buf []byte
+	for attr := range t.idx {
+		pos := t.idxPos[attr]
+		m := make(map[string][]string)
+		for i, row := range rel.Rows {
+			buf = types.Encode(buf[:0], row[pos])
+			m[string(buf)] = append(m[string(buf)], keys[i])
 		}
+		t.idx[attr] = m
 	}
 	return nil
 }
@@ -287,18 +300,7 @@ func (t *AuxTable) Lookup(attr string, v types.Value) []tuple.Tuple {
 		t.lookupBuf = out
 		return out
 	}
-	pos, err := t.cols.Index(t.def.Base, attr)
-	if err != nil {
-		return nil
-	}
-	var out []tuple.Tuple
-	t.noteReadErr(t.store.Scan(func(_ string, r tuple.Tuple) error {
-		if types.Identical(r[pos], v) {
-			out = append(out, r)
-		}
-		return nil
-	}))
-	return out
+	return t.scanInto(attr, v, nil)
 }
 
 // lookupInto is Lookup with caller-owned scratch: the probe key is encoded
@@ -321,9 +323,17 @@ func (t *AuxTable) lookupInto(attr string, v types.Value, out []tuple.Tuple, key
 		}
 		return out, keyBuf
 	}
+	return t.scanInto(attr, v, out), keyBuf
+}
+
+// scanInto is the index-less lookup: a full scan appending the rows whose
+// attr equals v to out. It is a function of its own because the scan
+// closure captures v and out, which would otherwise move to the heap on
+// every call of the indexed fast path too.
+func (t *AuxTable) scanInto(attr string, v types.Value, out []tuple.Tuple) []tuple.Tuple {
 	pos, err := t.cols.Index(t.def.Base, attr)
 	if err != nil {
-		return out, keyBuf
+		return out
 	}
 	t.noteReadErr(t.store.Scan(func(_ string, r tuple.Tuple) error {
 		if types.Identical(r[pos], v) {
@@ -331,7 +341,7 @@ func (t *AuxTable) lookupInto(attr string, v types.Value, out []tuple.Tuple, key
 		}
 		return nil
 	}))
-	return out, keyBuf
+	return out
 }
 
 // containsWith is Contains with a caller-owned key buffer (read-only on

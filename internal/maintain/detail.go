@@ -3,7 +3,6 @@ package maintain
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"mindetail/internal/faultinject"
@@ -35,15 +34,6 @@ func newDetailCtx() detailCtx {
 		minPos: make(map[string]int),
 		maxPos: make(map[string]int),
 	}
-}
-
-// multiplicity returns the number of underlying base detail rows one
-// context row stands for.
-func (c detailCtx) multiplicity(row tuple.Tuple) int64 {
-	if c.mPos < 0 {
-		return 1
-	}
-	return row[c.mPos].AsInt()
 }
 
 // groupSet maps encoded group keys to their decoded group-by values. The
@@ -116,207 +106,28 @@ func (e *Engine) tablesFor(t string) map[string]bool {
 	return closed
 }
 
-// joinState is the working state of an outward join over the extended join
-// graph: the accumulated schema, the weighted row set, and the tables
-// already folded in. Both the delta-detail path and the delta-scoped
-// recomputation path seed one of these and call joinOutward.
-type joinState struct {
-	cols     ra.Schema
-	rows     []tuple.Tuple
-	weights  []int64
-	included map[string]bool
-	ctx      detailCtx
-
-	// lk, when non-nil, is the private probe scratch of a parallel join
-	// worker; the serial path leaves it nil and reuses the engine's
-	// buffers (see Engine.auxLookup).
-	lk *probeScratch
-}
-
-// probeScratch is a worker-owned auxiliary-probe buffer pair: lookups
-// through it never touch the engine's (or the tables') reusable buffers,
-// so several chunk workers can probe the same quiescent tables at once.
-type probeScratch struct {
-	rows []tuple.Tuple
-	key  []byte
-}
-
-// lookup probes an auxiliary table through the state's private scratch
-// when present, the engine's otherwise.
-func (st *joinState) lookup(e *Engine, at *AuxTable, attr string, v types.Value) []tuple.Tuple {
-	if st.lk == nil {
-		return e.auxLookup(at, attr, v)
-	}
-	st.lk.rows, st.lk.key = at.lookupInto(attr, v, st.lk.rows[:0], st.lk.key[:0])
-	return st.lk.rows
-}
-
-// joinOutward folds every needed table into the state by probing the
-// auxiliary tables' hash indexes: join-down edges (a folded parent
-// references the child's key) match at most one row and act as a membership
-// filter; join-up edges (a folded child is referenced by the parent) fan
-// out, and a compressed parent contributes its COUNT(*) to the weight.
-// Residual local conditions are re-applied per table as it joins in.
-func (e *Engine) joinOutward(st *joinState, needed map[string]bool) error {
-	var probes int64
-	defer func() { e.stats.auxLookups.Add(probes) }()
-	// Fold edges in sorted child order: the join (and so column) order is
-	// deterministic, which the sharded delta-detail path relies on to merge
-	// chunk results computed by independent workers.
-	children := make([]string, 0, len(e.graph.EdgeTo))
-	for c := range e.graph.EdgeTo {
-		children = append(children, c)
-	}
-	sort.Strings(children)
-	for {
-		progress := false
-		for _, child := range children {
-			j := e.graph.EdgeTo[child]
-			parent := j.Left
-			switch {
-			case st.included[parent] && !st.included[child] && needed[child]:
-				// Join down: parent references the child's key; at most
-				// one match, no match drops the row (membership filter).
-				refPos, err := st.cols.Index(parent, j.LeftAttr)
-				if err != nil {
-					return err
-				}
-				at := e.aux[child]
-				if at == nil {
-					return fmt.Errorf("maintain: join needs the omitted auxiliary view of %s", child)
-				}
-				newRows := st.rows[:0]
-				newW := st.weights[:0]
-				for i, row := range st.rows {
-					probes++
-					matches := st.lookup(e, at, j.RightAttr, row[refPos])
-					if len(matches) == 0 {
-						continue
-					}
-					newRows = append(newRows, tuple.Concat(row, matches[0]))
-					newW = append(newW, st.weights[i])
-				}
-				st.rows, st.weights = newRows, newW
-				st.cols = append(append(ra.Schema{}, st.cols...), at.Cols()...)
-				st.rows, st.weights, err = e.applyResidual(child, st.cols, st.rows, st.weights)
-				if err != nil {
-					return err
-				}
-				st.included[child] = true
-				progress = true
-
-			case st.included[child] && !st.included[parent] && needed[parent]:
-				// Join up: find the parent rows referencing this key; the
-				// fan-out multiplies, and a compressed parent contributes
-				// its COUNT(*) to the weight.
-				keyPos, err := st.cols.Index(child, j.RightAttr)
-				if err != nil {
-					return err
-				}
-				at := e.aux[parent]
-				if at == nil {
-					return fmt.Errorf("maintain: join needs the omitted auxiliary view of %s", parent)
-				}
-				cntPos := at.cntPos
-				var outRows []tuple.Tuple
-				var outW []int64
-				for i, row := range st.rows {
-					probes++
-					for _, m := range st.lookup(e, at, j.LeftAttr, row[keyPos]) {
-						w := st.weights[i]
-						if cntPos >= 0 {
-							w *= m[cntPos].AsInt()
-						}
-						outRows = append(outRows, tuple.Concat(row, m))
-						outW = append(outW, w)
-					}
-				}
-				base := len(st.cols)
-				st.rows, st.weights = outRows, outW
-				st.cols = append(append(ra.Schema{}, st.cols...), at.Cols()...)
-				st.rows, st.weights, err = e.applyResidual(parent, st.cols, st.rows, st.weights)
-				if err != nil {
-					return err
-				}
-				if cntPos >= 0 {
-					st.ctx.mPos = base + cntPos
-				}
-				for a, p := range at.sumPos {
-					st.ctx.sumPos[parent+"."+a] = base + p
-				}
-				for a, p := range at.minPos {
-					st.ctx.minPos[parent+"."+a] = base + p
-				}
-				for a, p := range at.maxPos {
-					st.ctx.maxPos[parent+"."+a] = base + p
-				}
-				st.included[parent] = true
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	for u := range needed {
-		if !st.included[u] {
-			return fmt.Errorf("maintain: join could not reach needed table %s", u)
-		}
-	}
-	st.ctx.rel = &ra.Relation{Cols: st.cols, Rows: st.rows}
-	return nil
-}
-
 // deltaDetail joins the signed delta rows of table t with the auxiliary
 // tables of every needed table, producing weighted detail rows: each output
 // row's weight is the signed number of underlying base detail rows it
 // stands for (the root COUNT(*) multiplies in when climbing through a
 // compressed root view).
 func (e *Engine) deltaDetail(t string, signed []signedRow) (detailCtx, []int64, error) {
-	if e.shardable(len(signed)) {
-		return e.deltaDetailChunked(t, signed)
-	}
-	st := &joinState{
-		cols:     e.baseCols(t),
-		rows:     make([]tuple.Tuple, len(signed)),
-		weights:  make([]int64, len(signed)),
-		included: map[string]bool{t: true},
-		ctx:      newDetailCtx(),
-	}
-	for i, sr := range signed {
-		st.rows[i] = sr.row
-		st.weights[i] = sr.s
-	}
-	if err := e.joinOutward(st, e.tablesFor(t)); err != nil {
-		return st.ctx, nil, fmt.Errorf("maintain: delta on %s: %w", t, err)
-	}
-	return st.ctx, st.weights, nil
-}
-
-// applyResidual filters joined detail rows by the view's residual local
-// conditions on the just-joined table (shared-plan mode; no-op otherwise).
-func (e *Engine) applyResidual(table string, cols ra.Schema, rows []tuple.Tuple, weights []int64) ([]tuple.Tuple, []int64, error) {
-	conds := e.residual[table]
-	if len(conds) == 0 {
-		return rows, weights, nil
-	}
-	pred, err := ra.BindAll(conds, cols)
+	p, err := e.deltaPlan(t)
 	if err != nil {
-		return nil, nil, err
+		return detailCtx{}, nil, fmt.Errorf("maintain: delta on %s: %w", t, err)
 	}
-	outRows := rows[:0]
-	outW := weights[:0]
-	for i, row := range rows {
-		ok, err := pred(row)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			outRows = append(outRows, row)
-			outW = append(outW, weights[i])
-		}
+	if e.shardable(len(signed)) {
+		return e.deltaDetailChunked(t, p, signed)
 	}
-	return outRows, outW, nil
+	fw := &e.walker
+	fw.probes = 0
+	var out detailRows
+	err = fw.walkSigned(p, signed, &out)
+	e.stats.auxLookups.Add(fw.probes)
+	if err != nil {
+		return detailCtx{}, nil, fmt.Errorf("maintain: delta on %s: %w", t, err)
+	}
+	return p.detail(out.rows), out.weights, nil
 }
 
 // fullAuxDetail joins all auxiliary views into the full view detail — the
@@ -397,146 +208,6 @@ func (e *Engine) fullAuxDetail() (detailCtx, error) {
 		ctx.maxPos[root.def.Base+"."+a] = i
 	}
 	return ctx, nil
-}
-
-// scopedAuxDetail builds the view detail restricted to the affected groups
-// without joining the full auxiliary tree: it seeds from the auxiliary view
-// owning one of the group-by attributes, probes that view's hash index with
-// the affected groups' own key values, keeps only rows whose group-by
-// projection matches an affected group, and joins outward along the
-// Need-set edges exactly as the delta-detail path does. The result is a
-// superset of the affected groups' detail rows (aggregation filters by the
-// exact group key), so maintenance cost is proportional to the touched
-// groups rather than the warehouse.
-//
-// The second result reports whether the scoped path could be used; when
-// false the caller must fall back to fullAuxDetail. The path declines when
-// the view is global, a group-by item is not a plain column reference, or
-// no group-by attribute is stored plain in a seedable auxiliary view.
-func (e *Engine) scopedAuxDetail(keys groupSet) (detailCtx, bool, error) {
-	ctx := newDetailCtx()
-	if len(e.mv.gbIdx) == 0 {
-		return ctx, false, nil
-	}
-	refs := make([]ra.ColRef, len(e.mv.gbIdx))
-	for i, ci := range e.mv.gbIdx {
-		cr, ok := e.mv.comps[ci].item.Expr.(ra.ColRef)
-		if !ok {
-			return ctx, false, nil
-		}
-		refs[i] = cr
-	}
-	// Pick a seed: a group-by attribute stored plain in its owner's
-	// auxiliary view. A compressed non-root view cannot seed (its rows are
-	// groups, not detail); in the minimal plans only the root compresses,
-	// so this guard is defensive.
-	seed := -1
-	var seedAux *AuxTable
-	for i, cr := range refs {
-		at := e.aux[cr.Table]
-		if at == nil {
-			continue
-		}
-		if !contains(at.def.PlainAttrs, cr.Name) {
-			continue
-		}
-		if cr.Table != e.graph.Root && at.cntPos >= 0 {
-			continue
-		}
-		seed, seedAux = i, at
-		break
-	}
-	if seed < 0 {
-		return ctx, false, nil
-	}
-	seedTable, seedAttr := refs[seed].Table, refs[seed].Name
-	if err := seedAux.EnsureIndex(seedAttr); err != nil {
-		return ctx, false, err
-	}
-
-	// The seed view may own several group-by columns; restricting probe
-	// results to the affected groups' projection onto all of them tightens
-	// the row superset before any joining happens.
-	var ownPos []int // positions in the seed aux schema
-	var ownGb []int  // positions in the group-by value lists
-	for i, cr := range refs {
-		if cr.Table != seedTable {
-			continue
-		}
-		p, err := seedAux.cols.Index(cr.Table, cr.Name)
-		if err != nil {
-			return ctx, false, nil
-		}
-		ownPos = append(ownPos, p)
-		ownGb = append(ownGb, i)
-	}
-
-	allowed := make(map[string]bool, len(keys))
-	probes := make(map[string]types.Value, len(keys))
-	buf := e.keyBuf[:0]
-	for _, vals := range keys {
-		buf = buf[:0]
-		for _, gi := range ownGb {
-			buf = types.Encode(buf, vals[gi])
-		}
-		allowed[string(buf)] = true
-		buf = types.Encode(buf[:0], vals[seed])
-		if _, ok := probes[string(buf)]; !ok {
-			probes[string(buf)] = vals[seed]
-		}
-	}
-
-	var rows []tuple.Tuple
-	var nProbes int64
-	for _, v := range probes {
-		nProbes++
-		for _, r := range e.auxLookup(seedAux, seedAttr, v) {
-			buf = buf[:0]
-			for _, p := range ownPos {
-				buf = types.Encode(buf, r[p])
-			}
-			if allowed[string(buf)] {
-				rows = append(rows, r)
-			}
-		}
-	}
-	e.keyBuf = buf[:0]
-	e.stats.auxLookups.Add(nProbes)
-
-	st := &joinState{
-		cols:     seedAux.Cols(),
-		rows:     rows,
-		weights:  make([]int64, len(rows)),
-		included: map[string]bool{seedTable: true},
-		ctx:      ctx,
-	}
-	for i := range st.weights {
-		st.weights[i] = 1
-	}
-	// A compressed seed (the root) carries its own multiplicity columns.
-	if seedTable == e.graph.Root {
-		if seedAux.cntPos >= 0 {
-			st.ctx.mPos = seedAux.cntPos
-		}
-		for a, p := range seedAux.sumPos {
-			st.ctx.sumPos[seedTable+"."+a] = p
-		}
-		for a, p := range seedAux.minPos {
-			st.ctx.minPos[seedTable+"."+a] = p
-		}
-		for a, p := range seedAux.maxPos {
-			st.ctx.maxPos[seedTable+"."+a] = p
-		}
-	}
-	var err error
-	st.rows, st.weights, err = e.applyResidual(seedTable, st.cols, st.rows, st.weights)
-	if err != nil {
-		return st.ctx, false, err
-	}
-	if err := e.joinOutward(st, e.tablesFor(seedTable)); err != nil {
-		return st.ctx, false, err
-	}
-	return st.ctx, true, nil
 }
 
 // gbFns binds the view's group-by expressions against a detail schema. The
@@ -716,9 +387,9 @@ func (e *Engine) affectedGroups(ctx detailCtx) (groupSet, error) {
 
 // recomputeGroups repairs the given groups from the auxiliary views alone
 // (Section 3.2's recomputation of non-CSMAS aggregates): the affected
-// detail rows are gathered — by the delta-scoped index propagation when the
-// view's shape admits it, from the full auxiliary join otherwise — and
-// re-aggregated, replacing the stored groups.
+// groups' detail rows are re-aggregated — streamed from the delta-scoped
+// fold walk when the view's shape admits it, from the full auxiliary join
+// otherwise — replacing the stored groups.
 func (e *Engine) recomputeGroups(keys groupSet) error {
 	if len(keys) == 0 {
 		return nil
@@ -728,8 +399,8 @@ func (e *Engine) recomputeGroups(keys groupSet) error {
 		return err
 	}
 	// Journal every affected group before the delete+reinstall below: the
-	// replacements computeGroups produced are a subset of keys (it filters
-	// by exact group key), so capturing the keys covers all mutations.
+	// replacements are a subset of keys (the accumulator filters by exact
+	// group key), so capturing the keys covers all mutations.
 	for k := range keys {
 		e.jnl.noteMVKey(e.mv, k)
 	}
@@ -777,13 +448,20 @@ type storedDef struct {
 	agg  *ra.Aggregate
 }
 
-// computeGroups aggregates detail rows into maintenance-form component
-// rows. With keys non-nil, only groups in the set are produced. Large
-// inputs are sharded by group-key hash across a bounded worker pool: every
-// row of a group lands in the same shard with its original relative order
-// preserved, so parallel aggregation accumulates each group exactly as the
-// serial path would.
-func (e *Engine) computeGroups(ctx detailCtx, keys groupSet) (map[string]tuple.Tuple, error) {
+// groupBinding is the view's aggregation bound over one detail schema: the
+// group-by closures, where each SUM component's argument lives (indexed by
+// component; zero for other kinds), each stored component's argument, and
+// the multiplicity column. It is read-only once built, so concurrent
+// accumulators may share it.
+type groupBinding struct {
+	fns     []func(tuple.Tuple) (types.Value, error)
+	sums    []sumArg
+	storeds []storedDef
+	mPos    int
+}
+
+// bindGroups binds the view's aggregation over a detail context's schema.
+func (e *Engine) bindGroups(ctx detailCtx) (*groupBinding, error) {
 	fns, err := e.gbFns(ctx.rel.Cols)
 	if err != nil {
 		return nil, err
@@ -792,7 +470,10 @@ func (e *Engine) computeGroups(ctx detailCtx, keys groupSet) (map[string]tuple.T
 	if err != nil {
 		return nil, err
 	}
-	var storeds []storedDef
+	b := &groupBinding{fns: fns, sums: make([]sumArg, len(e.mv.comps)), mPos: ctx.mPos}
+	for ci, sa := range sums {
+		b.sums[ci] = sa
+	}
 	for ci, c := range e.mv.comps {
 		if c.kind != compStored {
 			continue
@@ -801,13 +482,26 @@ func (e *Engine) computeGroups(ctx detailCtx, keys groupSet) (map[string]tuple.T
 		if err != nil {
 			return nil, err
 		}
-		storeds = append(storeds, storedDef{comp: ci, pos: p, agg: c.item.Agg})
+		b.storeds = append(b.storeds, storedDef{comp: ci, pos: p, agg: c.item.Agg})
 	}
+	return b, nil
+}
 
+// computeGroups aggregates detail rows into maintenance-form component
+// rows. With keys non-nil, only groups in the set are produced. Large
+// inputs are sharded by group-key hash across a bounded worker pool: every
+// row of a group lands in the same shard with its original relative order
+// preserved, so parallel aggregation accumulates each group exactly as the
+// serial path would.
+func (e *Engine) computeGroups(ctx detailCtx, keys groupSet) (map[string]tuple.Tuple, error) {
+	b, err := e.bindGroups(ctx)
+	if err != nil {
+		return nil, err
+	}
 	rows := ctx.rel.Rows
 	workers := e.workerCount()
 	if workers <= 1 || len(rows) < parallelRecomputeThreshold {
-		return e.aggregateGroups(ctx, rows, fns, sums, storeds, keys)
+		return e.aggregateGroups(b, rows, keys)
 	}
 
 	// Shard by group-key hash; the keys filter applies here so workers
@@ -816,7 +510,7 @@ func (e *Engine) computeGroups(ctx detailCtx, keys groupSet) (map[string]tuple.T
 	var buf []byte
 	for _, row := range rows {
 		buf = buf[:0]
-		for _, f := range fns {
+		for _, f := range b.fns {
 			v, err := f(row)
 			if err != nil {
 				return nil, err
@@ -841,7 +535,7 @@ func (e *Engine) computeGroups(ctx detailCtx, keys groupSet) (map[string]tuple.T
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			outs[w], errs[w] = e.aggregateGroups(ctx, shards[w], fns, sums, storeds, nil)
+			outs[w], errs[w] = e.aggregateGroups(b, shards[w], nil)
 		}(w)
 	}
 	wg.Wait()
@@ -857,109 +551,155 @@ func (e *Engine) computeGroups(ctx detailCtx, keys groupSet) (map[string]tuple.T
 	return merged, nil
 }
 
-// aggregateGroups performs the aggregation loop over one row set. It uses
-// only local state plus read-only engine metadata, so multiple invocations
-// may run concurrently (the parallel recomputation workers).
-func (e *Engine) aggregateGroups(ctx detailCtx, rows []tuple.Tuple, fns []func(tuple.Tuple) (types.Value, error), sums map[int]sumArg, storeds []storedDef, keys groupSet) (map[string]tuple.Tuple, error) {
-	type storedAcc struct {
-		extremum map[string]types.Value            // group key -> MIN/MAX value
-		distinct map[string]map[string]types.Value // group key -> set
+// aggregateGroups runs the aggregation loop over one materialized row set.
+func (e *Engine) aggregateGroups(b *groupBinding, rows []tuple.Tuple, keys groupSet) (map[string]tuple.Tuple, error) {
+	acc := e.newGroupAcc(b, keys)
+	for _, row := range rows {
+		if err := acc.add(row, 0); err != nil {
+			return nil, err
+		}
 	}
-	accs := make([]storedAcc, len(storeds))
-	for i := range accs {
-		accs[i] = storedAcc{
+	return acc.finish()
+}
+
+// groupAcc is the aggregation loop split open: add folds one detail row
+// into its group's component row, and finish settles the stored (non-CSMAS)
+// components. computeGroups drives it over a materialized relation; the
+// scoped recomputation feeds it straight from the fold walk (it is a
+// foldSink). It uses only its own state plus read-only engine metadata, so
+// several accumulators may run concurrently (the parallel recomputation
+// workers).
+type groupAcc struct {
+	mv     *MaterializedView
+	b      *groupBinding
+	keys   groupSet
+	out    map[string]tuple.Tuple
+	accs   []storedAcc
+	gbVals []types.Value
+	buf    []byte
+	vbuf   []byte
+}
+
+// storedAcc is one stored component's per-group running state.
+type storedAcc struct {
+	extremum map[string]types.Value            // group key -> MIN/MAX value
+	distinct map[string]map[string]types.Value // group key -> set
+}
+
+// newGroupAcc returns an empty accumulator; with keys non-nil, rows of
+// groups outside the set are skipped.
+func (e *Engine) newGroupAcc(b *groupBinding, keys groupSet) *groupAcc {
+	a := &groupAcc{
+		mv:     e.mv,
+		b:      b,
+		keys:   keys,
+		out:    make(map[string]tuple.Tuple),
+		accs:   make([]storedAcc, len(b.storeds)),
+		gbVals: make([]types.Value, len(b.fns)),
+	}
+	for i := range a.accs {
+		a.accs[i] = storedAcc{
 			extremum: make(map[string]types.Value),
 			distinct: make(map[string]map[string]types.Value),
 		}
 	}
+	return a
+}
 
-	out := make(map[string]tuple.Tuple)
-	gbVals := make([]types.Value, len(fns))
-	var buf, vbuf []byte
-	for _, row := range rows {
-		buf = buf[:0]
-		for i, f := range fns {
-			v, err := f(row)
-			if err != nil {
-				return nil, err
-			}
-			gbVals[i] = v
-			buf = types.Encode(buf, v)
+// add folds one detail row into its group. The row's weight is unused: a
+// recomputation counts base detail rows through the multiplicity column.
+// The row is only read, so add can take the fold walker's reused buffer.
+func (a *groupAcc) add(row tuple.Tuple, _ int64) error {
+	buf := a.buf[:0]
+	for i, f := range a.b.fns {
+		v, err := f(row)
+		if err != nil {
+			return err
 		}
-		if keys != nil {
-			if _, ok := keys[string(buf)]; !ok {
-				continue
-			}
+		a.gbVals[i] = v
+		buf = types.Encode(buf, v)
+	}
+	a.buf = buf
+	if a.keys != nil {
+		if _, ok := a.keys[string(buf)]; !ok {
+			return nil
 		}
-		m := ctx.multiplicity(row)
-		orow, ok := out[string(buf)]
-		if !ok {
-			orow = e.mv.blank(gbVals)
-			out[string(buf)] = orow
-		}
-		for ci, c := range e.mv.comps {
-			switch c.kind {
-			case compCount:
-				orow[ci] = types.Int(orow[ci].AsInt() + m)
-			case compSum:
-				sa := sums[ci]
-				var d types.Value
-				if sa.compressed {
-					d = row[sa.pos]
-				} else {
-					var err error
-					d, err = types.Mul(types.Int(m), row[sa.pos])
-					if err != nil {
-						return nil, err
-					}
-				}
-				if orow[ci].IsNull() {
-					orow[ci] = d
-				} else {
-					s, err := types.Add(orow[ci], d)
-					if err != nil {
-						return nil, err
-					}
-					orow[ci] = s
+	}
+	m := int64(1)
+	if a.b.mPos >= 0 {
+		m = row[a.b.mPos].AsInt()
+	}
+	orow, ok := a.out[string(buf)]
+	if !ok {
+		orow = a.mv.blank(a.gbVals)
+		a.out[string(buf)] = orow
+	}
+	for ci, c := range a.mv.comps {
+		switch c.kind {
+		case compCount:
+			orow[ci] = types.Int(orow[ci].AsInt() + m)
+		case compSum:
+			sa := a.b.sums[ci]
+			var d types.Value
+			if sa.compressed {
+				d = row[sa.pos]
+			} else {
+				var err error
+				d, err = types.Mul(types.Int(m), row[sa.pos])
+				if err != nil {
+					return err
 				}
 			}
-		}
-		h := e.mv.hiddenIdx()
-		orow[h] = types.Int(orow[h].AsInt() + m)
-
-		for i := range storeds {
-			sd := &storeds[i]
-			ac := &accs[i]
-			v := row[sd.pos]
-			if sd.agg.Distinct {
-				set, ok := ac.distinct[string(buf)]
-				if !ok {
-					set = make(map[string]types.Value)
-					ac.distinct[string(buf)] = set
+			if orow[ci].IsNull() {
+				orow[ci] = d
+			} else {
+				s, err := types.Add(orow[ci], d)
+				if err != nil {
+					return err
 				}
-				vbuf = types.Encode(vbuf[:0], v)
-				if _, ok := set[string(vbuf)]; !ok {
-					set[string(vbuf)] = v
-				}
-				continue
-			}
-			cur, ok := ac.extremum[string(buf)]
-			switch {
-			case !ok:
-				ac.extremum[string(buf)] = v
-			case sd.agg.Func == ra.FuncMin && types.Compare(v, cur) < 0:
-				ac.extremum[string(buf)] = v
-			case sd.agg.Func == ra.FuncMax && types.Compare(v, cur) > 0:
-				ac.extremum[string(buf)] = v
+				orow[ci] = s
 			}
 		}
 	}
+	h := a.mv.hiddenIdx()
+	orow[h] = types.Int(orow[h].AsInt() + m)
 
-	// Finalize stored components.
-	for i := range storeds {
-		sd := &storeds[i]
-		ac := &accs[i]
-		for key, orow := range out {
+	for i := range a.b.storeds {
+		sd := &a.b.storeds[i]
+		ac := &a.accs[i]
+		v := row[sd.pos]
+		if sd.agg.Distinct {
+			set, ok := ac.distinct[string(buf)]
+			if !ok {
+				set = make(map[string]types.Value)
+				ac.distinct[string(buf)] = set
+			}
+			a.vbuf = types.Encode(a.vbuf[:0], v)
+			if _, ok := set[string(a.vbuf)]; !ok {
+				set[string(a.vbuf)] = v
+			}
+			continue
+		}
+		cur, ok := ac.extremum[string(buf)]
+		switch {
+		case !ok:
+			ac.extremum[string(buf)] = v
+		case sd.agg.Func == ra.FuncMin && types.Compare(v, cur) < 0:
+			ac.extremum[string(buf)] = v
+		case sd.agg.Func == ra.FuncMax && types.Compare(v, cur) > 0:
+			ac.extremum[string(buf)] = v
+		}
+	}
+	return nil
+}
+
+// finish settles the stored components and returns the component rows by
+// encoded group key.
+func (a *groupAcc) finish() (map[string]tuple.Tuple, error) {
+	for i := range a.b.storeds {
+		sd := &a.b.storeds[i]
+		ac := &a.accs[i]
+		for key, orow := range a.out {
 			if sd.agg.Distinct {
 				v, err := finalizeDistinct(sd.agg, ac.distinct[key])
 				if err != nil {
@@ -971,7 +711,7 @@ func (e *Engine) aggregateGroups(ctx detailCtx, rows []tuple.Tuple, fns []func(t
 			}
 		}
 	}
-	return out, nil
+	return a.out, nil
 }
 
 // fnv32 is the FNV-1a hash of b, used to shard rows by group key.

@@ -152,6 +152,15 @@ type Engine struct {
 	lkKeyBuf  []byte
 	lkRowBuf  []tuple.Tuple
 
+	// deltaPlans and scoped are the compiled outward joins (fold.go): one
+	// per delta table, and the delta-scoped recomputation's. They derive
+	// from immutable plan metadata and are recompiled only if UseNeedSets
+	// changes. walker is the serial paths' walk scratch; it holds one row
+	// buffer and per-level probe results, never the joined rows themselves.
+	deltaPlans map[string]*foldPlan
+	scoped     *scopedPlan
+	walker     foldWalker
+
 	// memo and memoKey are set for the duration of one StageWithMemo call;
 	// memoScope names the propagation domain whose same-fingerprint engines
 	// are state replicas ("solo" for a warehouse's standalone engines, a
@@ -234,6 +243,7 @@ func newEngine(plan *core.Plan, tables map[string]*AuxTable, residual map[string
 		relPosC:     make(map[string][]int),
 		localPredC:  make(map[string]func(tuple.Tuple) (bool, error)),
 		auxPlanC:    make(map[string]*auxApplyPlan),
+		deltaPlans:  make(map[string]*foldPlan),
 		sumDeltaC:   make(map[string]types.Value),
 		extremaC:    make(map[string]types.Value),
 		memoScope:   "solo",
@@ -963,10 +973,10 @@ func (e *Engine) auxLookup(at *AuxTable, attr string, v types.Value) []tuple.Tup
 
 // prepareSharedIndexes eagerly builds every auxiliary index the maintenance
 // paths would otherwise create lazily (fullAuxDetail's join-edge indexes and
-// scopedAuxDetail's seed index). Engines of a shared class stage in parallel
-// over the same auxiliary tables, and EnsureIndex mutates the table, so the
-// coordinator calls this once per engine before any concurrent staging;
-// afterwards every probe is a read.
+// the scoped recomputation's seed index). Engines of a shared class stage in
+// parallel over the same auxiliary tables, and EnsureIndex mutates the
+// table, so the coordinator calls this once per engine before any
+// concurrent staging; afterwards every probe is a read.
 func (e *Engine) prepareSharedIndexes() error {
 	for t, at := range e.aux {
 		if j, ok := e.graph.EdgeTo[t]; ok && contains(at.def.PlainAttrs, j.RightAttr) {

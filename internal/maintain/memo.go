@@ -236,16 +236,14 @@ func (e *Engine) deltaDetailShared(t string, signed []signedRow) (detailCtx, []i
 }
 
 // recomputedGroups derives the replacement rows for the affected groups —
-// scoped auxiliary detail (falling back to the full join) plus
-// re-aggregation. With a memo the whole pipeline is computed once per
+// the streamed scoped recomputation, falling back to re-aggregating the
+// full auxiliary join. With a memo the whole pipeline is computed once per
 // (join key, affected-group set); the returned map is shared, and the
 // second result tells the caller to clone rows before installing them
 // (installed rows are mutated in place by later adjustments and by
 // rollback, and the memo's copy must stay pristine for other consumers).
 func (e *Engine) recomputedGroups(keys groupSet) (map[string]tuple.Tuple, bool, error) {
 	compute := func() (map[string]tuple.Tuple, error) {
-		var ctx detailCtx
-		scoped := false
 		// The scoped-vs-full decision: an explicit per-apply StrategyFull
 		// (or the engine-level ForceFullRecompute oracle knob) takes the
 		// full join; otherwise the scoped path is attempted and its shape
@@ -254,20 +252,16 @@ func (e *Engine) recomputedGroups(keys groupSet) (map[string]tuple.Tuple, bool, 
 		// runs once per (join key, group set), and the strategy is part of
 		// the join key, so replicas never mix results from different paths.
 		if !e.ForceFullRecompute && e.strategy != StrategyFull {
-			var err error
-			ctx, scoped, err = e.scopedAuxDetail(keys)
-			if err != nil {
-				return nil, err
+			groups, scoped, err := e.scopedGroups(keys)
+			if err != nil || scoped {
+				return groups, err
 			}
 		}
-		if !scoped {
-			full, err := e.fullAuxDetail()
-			if err != nil {
-				return nil, err
-			}
-			ctx = full
+		full, err := e.fullAuxDetail()
+		if err != nil {
+			return nil, err
 		}
-		return e.computeGroups(ctx, keys)
+		return e.computeGroups(full, keys)
 	}
 	if e.memo == nil {
 		st := e.stageStart()

@@ -43,6 +43,12 @@ func newPagedEngine(t *testing.T) (*experiments.Env, *maintain.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return env, pagedEngineOn(t, env)
+}
+
+// pagedEngineOn builds the paged engine over an existing environment.
+func pagedEngineOn(t *testing.T, env *experiments.Env) *maintain.Engine {
+	t.Helper()
 	eng, err := env.MinimalEngine(pagedViewSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +69,30 @@ func newPagedEngine(t *testing.T) (*experiments.Env, *maintain.Engine) {
 				st.FilePages, st.Budget)
 		}
 	}
-	return env, eng
+	return eng
+}
+
+// TestScopedAuxDetailMatchesFullPaged is the scoped-vs-full oracle of
+// TestScopedAuxDetailMatchesFull over paged stores under constant
+// eviction: the walk reads copy-out rows from the buffer pool instead of
+// live map rows. Prices are reset to quarter multiples first, so every SUM
+// is exact whichever order a path accumulates it in.
+func TestScopedAuxDetailMatchesFullPaged(t *testing.T) {
+	env, err := experiments.NewEnv(pagedParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range env.Src("sale").Rows {
+		price := types.Float(float64(i%40)*0.25 + 0.5)
+		if _, _, err := env.DB.Update("sale", row[0], map[string]types.Value{"price": price}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := pagedEngineOn(t, env)
+	if err := maintain.ScopedMatchesFull(eng); err != nil {
+		t.Fatal(err)
+	}
+	checkAux(t, eng, "after the oracle")
 }
 
 // capture deep-copies the engine's user-visible state.

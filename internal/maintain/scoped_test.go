@@ -111,79 +111,72 @@ func TestAuxTableIndexConsistency(t *testing.T) {
 	}
 }
 
-// mvGroupSet rebuilds a groupSet for every currently materialized group —
-// the shape recomputeGroups receives.
-func mvGroupSet(e *Engine) groupSet {
-	keys := make(groupSet, len(e.mv.rows))
-	for k, row := range e.mv.rows {
-		vals := make([]types.Value, len(e.mv.gbIdx))
-		for i, gi := range e.mv.gbIdx {
-			vals[i] = row[gi]
-		}
-		keys[k] = vals
-	}
-	return keys
-}
-
 // TestScopedAuxDetailMatchesFull asserts the heart of the delta-scoped
-// pipeline: for any affected-group set, the scoped detail aggregates to
-// exactly the same component rows as the full auxiliary re-join, while
-// touching only rows reachable from the groups' own key values.
+// pipeline: for any affected-group set, the streamed scoped recomputation
+// yields exactly the component rows of the full auxiliary re-join, while
+// probing only rows reachable from the groups' own key values. Cases cover
+// a single-engine view, several affected groups in one recompute (part of
+// ScopedMatchesFull), and the residual conditions of a shared plan; the
+// paged-store case lives in pagedstore_test.go.
 func TestScopedAuxDetailMatchesFull(t *testing.T) {
-	f := newFixture(t, retailDDL,
-		`SELECT month, SUM(price) AS total, COUNT(*) AS cnt, COUNT(DISTINCT brand) AS brands
-		 FROM sale, time, product
-		 WHERE sale.timeid = time.id AND sale.productid = product.id AND time.year = 1997
-		 GROUP BY month`, true)
-	f.seedRetail()
-	f.initEngine()
-	e := f.engine
-
-	all := mvGroupSet(e)
-	if len(all) == 0 {
-		t.Fatal("no materialized groups")
-	}
-	full, err := e.fullAuxDetail()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAll, err := e.aggregateGroupsForTest(full, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Every single-group subset must recompute identically through the
-	// scoped path, from strictly fewer detail rows.
-	for k, vals := range all {
-		sub := groupSet{k: vals}
-		ctx, ok, err := e.scopedAuxDetail(sub)
-		if err != nil {
+	t.Run("engine", func(t *testing.T) {
+		f := newFixture(t, retailDDL,
+			`SELECT month, SUM(price) AS total, COUNT(*) AS cnt, COUNT(DISTINCT brand) AS brands
+			 FROM sale, time, product
+			 WHERE sale.timeid = time.id AND sale.productid = product.id AND time.year = 1997
+			 GROUP BY month`, true)
+		f.seedRetail()
+		f.initEngine()
+		if err := ScopedMatchesFull(f.engine); err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			t.Fatalf("scoped path declined for group %v", vals)
-		}
-		if len(ctx.rel.Rows) >= len(full.rel.Rows) && len(all) > 1 {
-			t.Fatalf("scoped detail for %v has %d rows, full has %d — no reduction",
-				vals, len(ctx.rel.Rows), len(full.rel.Rows))
-		}
-		got, err := e.aggregateGroupsForTest(ctx, sub)
-		if err != nil {
+	})
+	t.Run("several_groups", func(t *testing.T) {
+		// Two group-by columns owned by different tables: the seed view's
+		// own projection admits more rows than the affected groups, so the
+		// accumulator's exact-key filter does real work.
+		f := newFixture(t, retailDDL,
+			`SELECT month, brand, SUM(price) AS total, COUNT(DISTINCT storeid) AS stores
+			 FROM sale, time, product
+			 WHERE sale.timeid = time.id AND sale.productid = product.id
+			 GROUP BY month, brand`, true)
+		f.seedRetail()
+		f.initEngine()
+		f.insertSale(2, 100, 7, 2.5)
+		f.insertSale(3, 101, 8, 0.75)
+		f.insertSale(4, 102, 7, 3.25)
+		if err := ScopedMatchesFull(f.engine); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 1 {
-			t.Fatalf("group %v: scoped recompute produced %d groups, want 1", vals, len(got))
+	})
+	t.Run("shared_residual", func(t *testing.T) {
+		// The year conditions of TestSharedEnginesResidualConditions, with
+		// DISTINCT so both views recompute: the shared time view keeps both
+		// years, so the walk re-applies the residual year condition at the
+		// seed (view 0 seeds from time) or at the time fold (view 1 seeds
+		// from product).
+		f := newSharedFixture(t,
+			`SELECT time.month, SUM(price) AS total, COUNT(*) AS cnt, COUNT(DISTINCT brand) AS brands
+			 FROM sale, time, product
+			 WHERE time.year = 1997 AND sale.timeid = time.id AND sale.productid = product.id
+			 GROUP BY time.month`,
+			`SELECT product.brand, SUM(price) AS total, COUNT(DISTINCT month) AS months
+			 FROM sale, time, product
+			 WHERE time.year = 1998 AND sale.timeid = time.id AND sale.productid = product.id
+			 GROUP BY product.brand`,
+		)
+		f.seedRetail()
+		f.init()
+		for i := 0; i < f.se.Views(); i++ {
+			e := f.se.Engine(i)
+			if len(e.residual) == 0 {
+				t.Fatalf("view %d has no residual conditions; the case tests nothing", i)
+			}
+			if err := ScopedMatchesFull(e); err != nil {
+				t.Fatalf("view %d: %v", i, err)
+			}
 		}
-		if !tuple.Identical(got[k], wantAll[k]) {
-			t.Fatalf("group %v: scoped %v != full %v", vals, got[k], wantAll[k])
-		}
-	}
-}
-
-// aggregateGroupsForTest runs computeGroups over a detail context (test
-// shim keeping the production signature private to this package's callers).
-func (e *Engine) aggregateGroupsForTest(ctx detailCtx, keys groupSet) (map[string]tuple.Tuple, error) {
-	return e.computeGroups(ctx, keys)
+	})
 }
 
 // TestParallelRecomputeMatchesSerial aggregates an above-threshold detail
@@ -286,7 +279,7 @@ func TestScopedPathFallsBackForGlobalViews(t *testing.T) {
 	f.seedRetail()
 	f.initEngine()
 
-	_, ok, err := f.engine.scopedAuxDetail(mvGroupSet(f.engine))
+	_, ok, err := f.engine.scopedGroups(mvGroupSet(f.engine))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,4 +288,69 @@ func TestScopedPathFallsBackForGlobalViews(t *testing.T) {
 	}
 	f.deleteRow("sale", 1) // forces recomputation through the fallback
 	f.deleteRow("sale", 2)
+}
+
+// TestScopedRecomputeAllocsFlat recomputes one COUNT(DISTINCT) group of n
+// detail rows and one of 4n and requires the same allocation count: the
+// streamed walk builds joined rows in a reused buffer, so allocations
+// follow the number of groups and distinct values, not of detail rows.
+func TestScopedRecomputeAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		f := newFixture(t, retailDDL,
+			`SELECT month, SUM(price) AS total, COUNT(*) AS cnt, COUNT(DISTINCT brand) AS brands
+			 FROM sale, time, product
+			 WHERE sale.timeid = time.id AND sale.productid = product.id
+			 GROUP BY month`, true)
+		ins := func(table string, vals ...types.Value) {
+			if err := f.db.Insert(table, tuple.Tuple(vals)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One month of 10 days; n/10 products over 5 brands; one sale per
+		// (day, product), so the root view keeps n distinct groups.
+		for d := 1; d <= 10; d++ {
+			ins("time", types.Int(int64(d)), types.Int(int64(d)), types.Int(1), types.Int(1997))
+		}
+		for p := 1; p <= n/10; p++ {
+			ins("product", types.Int(int64(p)), types.Str(fmt.Sprintf("b%d", p%5)), types.Str("c"))
+		}
+		ins("store", types.Int(1), types.Str("aalborg"), types.Str("kim"))
+		id := int64(0)
+		for d := 1; d <= 10; d++ {
+			for p := 1; p <= n/10; p++ {
+				id++
+				ins("sale", types.Int(id), types.Int(int64(d)), types.Int(int64(p)), types.Int(1), types.Float(float64(id%7)+0.5))
+			}
+		}
+		f.initEngine()
+		e := f.engine
+		keys := mvGroupSet(e)
+		if len(keys) != 1 {
+			t.Fatalf("want one group, have %d", len(keys))
+		}
+		var rerr error
+		a := testing.AllocsPerRun(20, func() {
+			groups, ok, err := e.scopedGroups(keys)
+			if err == nil && (!ok || len(groups) != 1) {
+				err = fmt.Errorf("scoped recompute: ok=%v, %d groups", ok, len(groups))
+			}
+			if err != nil {
+				rerr = err
+			}
+		})
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if got := e.Stats().DetailRows; got != 0 {
+			t.Fatalf("detail rows counted during a recompute: %d", got)
+		}
+		return a
+	}
+	const n = 200
+	small, large := allocs(n), allocs(4*n)
+	if large > small {
+		t.Fatalf("recomputing a group of %d detail rows allocates %.0f times, of %d rows %.0f times; want no growth",
+			n, small, 4*n, large)
+	}
+	t.Logf("allocations per recompute: %.0f at %d rows, %.0f at %d rows", small, n, large, 4*n)
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"mindetail/internal/faultinject"
-	"mindetail/internal/ra"
 	"mindetail/internal/tuple"
 	"mindetail/internal/types"
 )
@@ -432,63 +431,47 @@ func (e *Engine) adjustFromDetailSharded(ctx detailCtx, weights []int64, raise b
 	return nil
 }
 
-// deltaDetailChunked is deltaDetail with the outward join fanned across
-// chunk workers: the signed rows split into contiguous chunks, each worker
-// joins its chunk with private probe scratch (the auxiliary tables are
-// quiescent and read-only during the phase), and the results concatenate
-// in chunk order. Because joinOutward folds edges in sorted order and
-// preserves row order within a chunk, the concatenation is identical —
-// rows, weights, order, and column layout — to the serial join.
-func (e *Engine) deltaDetailChunked(t string, signed []signedRow) (detailCtx, []int64, error) {
-	cols := e.baseCols(t) // warm the per-table caches before workers share them
-	needed := e.tablesFor(t)
+// deltaDetailChunked is deltaDetail with the fold walk fanned across chunk
+// workers: the signed rows split into contiguous chunks, each worker walks
+// its chunk with a private walker (the auxiliary tables are quiescent and
+// read-only during the phase), and the results concatenate in chunk order.
+// The walk emits each seed row's joined rows contiguously and in order, so
+// the concatenation is identical — rows, weights and order — to the serial
+// walk.
+func (e *Engine) deltaDetailChunked(t string, p *foldPlan, signed []signedRow) (detailCtx, []int64, error) {
 	shards := e.shardCount()
 	if shards > len(signed) {
 		shards = len(signed)
 	}
 	chunk := (len(signed) + shards - 1) / shards
-	var sts []*joinState
-	for lo := 0; lo < len(signed); lo += chunk {
-		hi := lo + chunk
-		if hi > len(signed) {
-			hi = len(signed)
-		}
-		st := &joinState{
-			cols:     cols,
-			rows:     make([]tuple.Tuple, hi-lo),
-			weights:  make([]int64, hi-lo),
-			included: map[string]bool{t: true},
-			ctx:      newDetailCtx(),
-			lk:       &probeScratch{},
-		}
-		for i, sr := range signed[lo:hi] {
-			st.rows[i] = sr.row
-			st.weights[i] = sr.s
-		}
-		sts = append(sts, st)
-	}
-	errs := make([]error, len(sts))
+	n := (len(signed) + chunk - 1) / chunk
+	outs := make([]detailRows, n)
+	errs := make([]error, n)
+	var probes int64
 	var wg sync.WaitGroup
-	for i, st := range sts {
+	for i := 0; i < n; i++ {
+		lo, hi := i*chunk, min((i+1)*chunk, len(signed))
 		wg.Add(1)
-		go func(i int, st *joinState) {
+		go func(i int) {
 			defer wg.Done()
-			errs[i] = e.joinOutward(st, needed)
-		}(i, st)
+			var fw foldWalker
+			errs[i] = fw.walkSigned(p, signed[lo:hi], &outs[i])
+			atomic.AddInt64(&probes, fw.probes)
+		}(i)
 	}
 	wg.Wait()
+	e.stats.auxLookups.Add(probes)
 	for _, err := range errs {
 		if err != nil {
-			return sts[0].ctx, nil, fmt.Errorf("maintain: delta on %s: %w", t, err)
+			return detailCtx{}, nil, fmt.Errorf("maintain: delta on %s: %w", t, err)
 		}
 	}
-	out := sts[0]
-	for _, st := range sts[1:] {
-		out.rows = append(out.rows, st.rows...)
-		out.weights = append(out.weights, st.weights...)
+	out := outs[0]
+	for _, o := range outs[1:] {
+		out.rows = append(out.rows, o.rows...)
+		out.weights = append(out.weights, o.weights...)
 	}
-	out.ctx.rel = &ra.Relation{Cols: out.ctx.rel.Cols, Rows: out.rows}
-	return out.ctx, out.weights, nil
+	return p.detail(out.rows), out.weights, nil
 }
 
 // observeShard publishes the sharded-stage metrics (no-op without a sink).
