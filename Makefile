@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all verify ci build fmt-check vet test perfbench-test race race-all faultinject fuzz-smoke bench-smoke cover bench bench-json obs-bench harness examples clean
+.PHONY: all verify ci build fmt-check vet test perfbench-test race race-all faultinject fuzz-smoke bench-smoke cover bench bench-json bench-pairs obs-bench harness examples clean
 
 all: build vet test faultinject race
 
@@ -104,6 +104,16 @@ bench:
 # results (ns/op, B/op, allocs/op) next to the recorded seed baseline.
 bench-json:
 	$(GO) run ./cmd/benchharness -json BENCH_maintain.json
+
+# bench-pairs runs PAIRS alternating perfbench runs of BASE (a git
+# worktree under .bench_build/) and the working tree on WORKLOAD, then
+# prints each end-to-end metric's medians, quartiles, win count and
+# whether the gap exceeds the base's interquartile range.
+BASE ?= HEAD
+WORKLOAD ?= outofcore
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/benchpairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # Micro-benchmarks of the observability primitives themselves (counter
 # adds, histogram observes, trace-ring records), sequential and parallel.

@@ -3,6 +3,7 @@ package maintain
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 
 	"mindetail/internal/faultinject"
@@ -724,7 +725,9 @@ func fnv32(b []byte) uint32 {
 	return h
 }
 
-// finalizeDistinct computes a DISTINCT aggregate over a value set.
+// finalizeDistinct computes a DISTINCT aggregate over a value set keyed by
+// each value's encoding. SUM and AVG add the values in encoded-key order,
+// so a float result is a function of the set alone, not of map iteration.
 func finalizeDistinct(agg *ra.Aggregate, set map[string]types.Value) (types.Value, error) {
 	switch agg.Func {
 	case ra.FuncCount:
@@ -733,9 +736,14 @@ func finalizeDistinct(agg *ra.Aggregate, set map[string]types.Value) (types.Valu
 		if len(set) == 0 {
 			return types.Null, nil
 		}
+		keys := make([]string, 0, len(set))
+		for k := range set {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
 		sum := types.Value(types.Int(0))
-		for _, v := range set {
-			s, err := types.Add(sum, v)
+		for _, k := range keys {
+			s, err := types.Add(sum, set[k])
 			if err != nil {
 				return types.Null, err
 			}

@@ -326,8 +326,14 @@ func (e *Engine) References(table string) bool { return e.tableSet[table] }
 // changed while a staged apply is outstanding.
 func (e *Engine) SetMemoScope(scope string) { e.memoScope = scope }
 
-// Snapshot returns the user-facing contents of the maintained view.
+// Snapshot returns a private, mutable copy of the user-facing contents of
+// the maintained view.
 func (e *Engine) Snapshot() *ra.Relation { return e.mv.Snapshot() }
+
+// Published returns the shared, immutable user-facing contents of the
+// maintained view, re-rendering only the groups written since the last
+// call (see MaterializedView.Published). Callers must not modify it.
+func (e *Engine) Published() *ra.Relation { return e.mv.Published() }
 
 // Groups returns the number of maintained view groups.
 func (e *Engine) Groups() int { return e.mv.Groups() }
@@ -375,7 +381,7 @@ func (e *Engine) initMV(src func(table string) *ra.Relation) error {
 	if err != nil {
 		return err
 	}
-	e.mv.rows = groups
+	e.mv.replaceRows(groups)
 	if e.mv.global() && len(groups) == 0 {
 		e.mv.setRow(e.mv.blank(nil))
 	}
@@ -946,7 +952,7 @@ func (e *Engine) rekey(t string, updates []Update) error {
 		for _, k := range hit {
 			row := e.mv.rows[k]
 			e.jnl.noteMVKey(e.mv, k)
-			delete(e.mv.rows, k)
+			e.mv.drop(k)
 			if err := e.fi.Fire(faultinject.RekeyGroup); err != nil {
 				return err
 			}
@@ -955,7 +961,7 @@ func (e *Engine) rekey(t string, updates []Update) error {
 			}
 			nk := e.mv.keyOf(row)
 			e.jnl.noteMVKey(e.mv, nk)
-			e.mv.rows[nk] = row
+			e.mv.put(nk, row)
 			e.stats.groupAdjusts.Add(1)
 		}
 	}

@@ -181,6 +181,7 @@ func (f *fixture) check(when string) {
 		f.t.Fatalf("%s: maintained view diverged\nmaintained:\n%s\nrecomputed:\n%s",
 			when, got.Format(), want.Format())
 	}
+	requirePublished(f.t, f.engine, when)
 	// The auxiliary views must also match a fresh materialization.
 	mats, err := f.engine.Plan().Materialize(func(tb string) *ra.Relation {
 		return ra.FromTable(f.db.Table(tb), tb)

@@ -165,10 +165,11 @@ func (mv *MaterializedView) restoreGroup(key string, old tuple.Tuple) {
 	cur, exists := mv.rows[key]
 	switch {
 	case old == nil && exists:
-		delete(mv.rows, key)
+		mv.drop(key)
 	case old != nil && !exists:
-		mv.rows[key] = old
+		mv.put(key, old)
 	case old != nil && exists:
+		mv.markDirtyKey(key)
 		copy(cur, old)
 	}
 }

@@ -7,13 +7,14 @@
 // distributive components (SUM and/or COUNT), every non-CSMAS aggregate
 // (MIN/MAX, DISTINCT) as a stored value that is repaired by partial
 // recomputation from the auxiliary views, plus a hidden per-group COUNT(*)
-// that detects group death. The user-facing contents are produced by
-// Snapshot, which combines components (AVG = SUM/COUNT).
+// that detects group death. The user-facing contents are rendered from it
+// (AVG = SUM/COUNT) and published incrementally: see Published.
 package maintain
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"mindetail/internal/aggregates"
 	"mindetail/internal/gpsj"
@@ -56,13 +57,34 @@ type MaterializedView struct {
 	minMaxOnly  bool
 
 	// rows maps the encoded group-by key to the component tuple, with one
-	// extra trailing value: the hidden group COUNT(*).
+	// extra trailing value: the hidden group COUNT(*). It is written only
+	// through put, drop and replaceRows (plus in-place edits of a row just
+	// marked dirty), so every write reaches the dirty set below.
 	rows map[string]tuple.Tuple
+
+	// The published snapshot and the writes since it. pub holds the
+	// rendered rows in sorted key order (pubKeys in step); neither the
+	// relation, its row slice nor its tuples are written after publication,
+	// so a published relation stays valid forever. dirty holds the keys
+	// written since pub was built; stale means there is no usable pub (never
+	// published, or rows replaced wholesale) and dirty is not tracked. The
+	// writers run exclusively; pubMu serializes concurrent publishers.
+	pubMu   sync.Mutex
+	cols    ra.Schema
+	pub     *ra.Relation
+	pubKeys []string
+	dirty   map[string]struct{}
+	stale   bool
 }
 
 // NewMaterializedView builds an empty maintenance form for the view.
 func NewMaterializedView(v *gpsj.View) *MaterializedView {
-	mv := &MaterializedView{view: v, rows: make(map[string]tuple.Tuple)}
+	mv := &MaterializedView{view: v, rows: make(map[string]tuple.Tuple),
+		dirty: make(map[string]struct{}), stale: true}
+	mv.cols = make(ra.Schema, len(v.Items))
+	for i, it := range v.Items {
+		mv.cols[i] = ra.Col{Name: it.Name}
+	}
 	mv.minMaxOnly = true
 	for _, it := range v.Items {
 		var idxs []int
@@ -120,6 +142,45 @@ func (mv *MaterializedView) keyOf(row tuple.Tuple) string {
 // global aggregation group, which exists even over an empty input).
 func (mv *MaterializedView) global() bool { return len(mv.gbIdx) == 0 }
 
+// markDirty records that the group under key was written since the last
+// publication. The lookup-first form keeps string(key) allocation-free when
+// the key is already dirty.
+func (mv *MaterializedView) markDirty(key []byte) {
+	if mv.stale {
+		return
+	}
+	if _, ok := mv.dirty[string(key)]; !ok {
+		mv.dirty[string(key)] = struct{}{}
+	}
+}
+
+// markDirtyKey is markDirty for a key already materialized as a string.
+func (mv *MaterializedView) markDirtyKey(key string) {
+	if !mv.stale {
+		mv.dirty[key] = struct{}{}
+	}
+}
+
+// put installs row under key.
+func (mv *MaterializedView) put(key string, row tuple.Tuple) {
+	mv.markDirtyKey(key)
+	mv.rows[key] = row
+}
+
+// drop removes the group under key.
+func (mv *MaterializedView) drop(key string) {
+	mv.markDirtyKey(key)
+	delete(mv.rows, key)
+}
+
+// replaceRows installs a whole new row map; the next publication renders
+// every group.
+func (mv *MaterializedView) replaceRows(rows map[string]tuple.Tuple) {
+	mv.rows = rows
+	mv.stale = true
+	clear(mv.dirty)
+}
+
 // blank returns a fresh component tuple for a new group with the given
 // group-by values at the group-by positions.
 func (mv *MaterializedView) blank(gbVals []types.Value) tuple.Tuple {
@@ -131,7 +192,8 @@ func (mv *MaterializedView) blank(gbVals []types.Value) tuple.Tuple {
 		row[gi] = gbVals[i]
 	}
 	for ci, c := range mv.comps {
-		if c.kind == compCount {
+		// COUNT and COUNT(DISTINCT) of no rows are 0, not NULL.
+		if c.kind == compCount || (c.kind == compStored && c.item.Agg.Func == ra.FuncCount) {
 			row[ci] = types.Int(0)
 		}
 	}
@@ -154,6 +216,7 @@ func (mv *MaterializedView) adjust(gbVals []types.Value, dCnt int64, sumDeltas m
 func (mv *MaterializedView) adjustBuf(key []byte, gbVals []types.Value, dCnt int64, sumDeltas map[int]types.Value) error {
 	row := mv.rows[string(key)]
 	existed := row != nil
+	mv.markDirty(key)
 	out, err := mv.adjustRowCore(row, gbVals, dCnt, sumDeltas)
 	if err != nil {
 		return err
@@ -223,6 +286,7 @@ func (mv *MaterializedView) raiseExtremaBuf(key []byte, ci int, v types.Value) {
 		// adjust creates groups; raiseExtrema is called after it.
 		return
 	}
+	mv.markDirty(key)
 	mv.raiseRow(row, ci, v)
 }
 
@@ -250,55 +314,115 @@ func (mv *MaterializedView) deleteGroups(keys groupSet) {
 			// recomputation that follows.
 			continue
 		}
-		delete(mv.rows, k)
+		mv.drop(k)
 	}
 }
 
 // setRow installs a complete component row (from recomputation).
 func (mv *MaterializedView) setRow(row tuple.Tuple) {
-	mv.rows[mv.keyOf(row)] = row
+	mv.put(mv.keyOf(row), row)
 }
 
-// Snapshot renders the user-facing contents of the view: one output column
-// per view item, combining components (COUNT from its counter, SUM from its
-// running sum, AVG = SUM/COUNT, stored values directly). An empty SUM/AVG
-// group (possible only for global views) yields NULL, matching SQL.
-func (mv *MaterializedView) Snapshot() *ra.Relation {
-	cols := make(ra.Schema, len(mv.view.Items))
-	for i, it := range mv.view.Items {
-		cols[i] = ra.Col{Name: it.Name}
+// Published returns the user-facing contents of the view, one output
+// column per view item, in encoded-group-key order. The relation is shared
+// and immutable: callers must not modify it (Snapshot returns a private
+// copy).
+//
+// Publication is incremental. Only the keys written since the previous
+// publication are sorted; each is binary-searched into the previous key
+// slice, and a new row slice is merged from the clean rows' existing
+// tuples and fresh renders of the dirty groups that still exist. After a
+// wholesale replacement every key counts as dirty against an empty
+// previous snapshot, which is the full sort-and-render.
+func (mv *MaterializedView) Published() *ra.Relation {
+	mv.pubMu.Lock()
+	defer mv.pubMu.Unlock()
+	if !mv.stale && len(mv.dirty) == 0 {
+		return mv.pub
 	}
-	out := ra.NewRelation(cols)
-	keys := make([]string, 0, len(mv.rows))
-	for k := range mv.rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		row := mv.rows[k]
-		orow := make(tuple.Tuple, len(mv.view.Items))
-		for i, it := range mv.view.Items {
-			idxs := mv.itemComps[i]
-			switch {
-			case !it.IsAggregate():
-				orow[i] = row[idxs[0]]
-			case it.Agg.Func == ra.FuncAvg && aggregates.IsCSMAS(it.Agg):
-				sum, cnt := row[idxs[0]], row[idxs[1]]
-				if sum.IsNull() || cnt.AsInt() == 0 {
-					orow[i] = types.Null
-				} else {
-					orow[i] = types.Float(sum.AsFloat() / float64(cnt.AsInt()))
-				}
-			case it.Agg.Func != ra.FuncCount && row[mv.hiddenIdx()].AsInt() == 0:
-				// An empty (global) group: SUM/AVG/MIN/MAX are NULL.
-				orow[i] = types.Null
-			default:
-				orow[i] = row[idxs[0]]
-			}
+	var prevKeys []string
+	var prevRows []tuple.Tuple
+	var dirty []string
+	if mv.stale {
+		dirty = make([]string, 0, len(mv.rows))
+		for k := range mv.rows {
+			dirty = append(dirty, k)
 		}
-		out.Rows = append(out.Rows, orow)
+	} else {
+		prevKeys, prevRows = mv.pubKeys, mv.pub.Rows
+		dirty = make([]string, 0, len(mv.dirty))
+		for k := range mv.dirty {
+			dirty = append(dirty, k)
+		}
+	}
+	sort.Strings(dirty)
+	// The merged snapshot has exactly the current groups.
+	keys := make([]string, 0, len(mv.rows))
+	rows := make([]tuple.Tuple, 0, len(mv.rows))
+	i := 0
+	for _, k := range dirty {
+		j := i + sort.SearchStrings(prevKeys[i:], k)
+		keys = append(keys, prevKeys[i:j]...)
+		rows = append(rows, prevRows[i:j]...)
+		i = j
+		if i < len(prevKeys) && prevKeys[i] == k {
+			i++ // superseded or dropped
+		}
+		if row, ok := mv.rows[k]; ok {
+			keys = append(keys, k)
+			rows = append(rows, mv.render(row))
+		}
+	}
+	keys = append(keys, prevKeys[i:]...)
+	rows = append(rows, prevRows[i:]...)
+	mv.pub = &ra.Relation{Cols: mv.cols, Rows: rows}
+	mv.pubKeys = keys
+	mv.stale = false
+	clear(mv.dirty)
+	return mv.pub
+}
+
+// Snapshot returns a private, mutable copy of the published contents (see
+// Published): its schema, row slice and tuples are all fresh.
+func (mv *MaterializedView) Snapshot() *ra.Relation {
+	pub := mv.Published()
+	out := &ra.Relation{Cols: append(ra.Schema(nil), pub.Cols...),
+		Rows: make([]tuple.Tuple, len(pub.Rows))}
+	w := len(pub.Cols)
+	slab := make(tuple.Tuple, len(pub.Rows)*w)
+	for i, row := range pub.Rows {
+		out.Rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+		copy(out.Rows[i], row)
 	}
 	return out
+}
+
+// render produces one group's user-facing tuple from its component row:
+// COUNT from its counter, SUM from its running sum, AVG = SUM/COUNT, stored
+// values directly. An empty SUM/AVG group (possible only for global views)
+// yields NULL, matching SQL.
+func (mv *MaterializedView) render(row tuple.Tuple) tuple.Tuple {
+	orow := make(tuple.Tuple, len(mv.view.Items))
+	for i, it := range mv.view.Items {
+		idxs := mv.itemComps[i]
+		switch {
+		case !it.IsAggregate():
+			orow[i] = row[idxs[0]]
+		case it.Agg.Func == ra.FuncAvg && aggregates.IsCSMAS(it.Agg):
+			sum, cnt := row[idxs[0]], row[idxs[1]]
+			if sum.IsNull() || cnt.AsInt() == 0 {
+				orow[i] = types.Null
+			} else {
+				orow[i] = types.Float(sum.AsFloat() / float64(cnt.AsInt()))
+			}
+		case it.Agg.Func != ra.FuncCount && row[mv.hiddenIdx()].AsInt() == 0:
+			// An empty (global) group: SUM/AVG/MIN/MAX are NULL.
+			orow[i] = types.Null
+		default:
+			orow[i] = row[idxs[0]]
+		}
+	}
+	return orow
 }
 
 // Bytes returns the byte-accounting size of the maintenance form.

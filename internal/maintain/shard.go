@@ -423,9 +423,9 @@ func (e *Engine) adjustFromDetailSharded(ctx detailCtx, weights []int64, raise b
 		}
 		e.jnl.noteMVKey(e.mv, p.key)
 		if p.existed && p.row == nil {
-			delete(e.mv.rows, p.key)
+			e.mv.drop(p.key)
 		} else {
-			e.mv.rows[p.key] = p.row
+			e.mv.put(p.key, p.row)
 		}
 	}
 	return nil

@@ -81,7 +81,7 @@ func (e *Engine) ImportState(st *State) error {
 		r := row.Clone()
 		rows[e.mv.keyOf(r)] = r
 	}
-	e.mv.rows = rows
+	e.mv.replaceRows(rows)
 	if e.mv.global() && len(rows) == 0 {
 		e.mv.setRow(e.mv.blank(nil))
 	}

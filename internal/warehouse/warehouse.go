@@ -1244,16 +1244,17 @@ func (w *Warehouse) Query(view string) (*ra.Relation, error) {
 	return mv.Def.ApplyHaving(mv.Engine.Snapshot())
 }
 
-// rebuildSnap materializes and publishes a fresh snapshot of mv. The read
-// lock excludes writers (propagation runs under the write lock), so the
-// engine state is stable and corresponds exactly to the version read here;
-// concurrent rebuilds of the same version store interchangeable snapshots.
+// rebuildSnap publishes a fresh snapshot of mv: the engine re-renders only
+// the groups written since its last publication. The read lock excludes
+// writers (propagation runs under the write lock), so the engine state is
+// stable and corresponds exactly to the version read here; concurrent
+// rebuilds of the same version store interchangeable snapshots.
 func (w *Warehouse) rebuildSnap(mv *View) (*ra.Relation, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	w.met.queryRebuilds.Inc()
 	ver := mv.ver.Load()
-	rel, err := mv.Def.ApplyHaving(mv.Engine.Snapshot())
+	rel, err := mv.Def.ApplyHaving(mv.Engine.Published())
 	if err != nil {
 		return nil, err
 	}
@@ -1324,8 +1325,7 @@ func (w *Warehouse) Report() []StorageReport {
 			}
 		}
 		sort.Strings(r.OmittedTables)
-		snap := mv.Engine.Snapshot()
-		r.ViewRows = snap.Len()
+		r.ViewRows = mv.Engine.Groups()
 		r.ViewBytes = mv.Engine.ViewBytes()
 		out = append(out, r)
 	}

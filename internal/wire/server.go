@@ -19,6 +19,12 @@ const (
 	DefaultHandshakeTimeout = 5 * time.Second
 )
 
+// maxHelloFrame bounds the unauthenticated Hello frame. ReadFrame allocates
+// the declared length before any body byte arrives, so the handshake must
+// not trust a peer with MaxFrame bytes; a Hello carries only a version and
+// the shared secret.
+const maxHelloFrame = 4 << 10
+
 // Config tunes a Server.
 type Config struct {
 	// Secret is the shared secret clients must present in the Hello
@@ -82,6 +88,13 @@ type Server struct {
 	requests      *obs.Counter
 	requestErrs   *obs.Counter
 	requestNs     *obs.Histogram
+	// kindNs holds one wire.request.<kind>.ns histogram per request kind
+	// (nil for kinds that are not requests).
+	kindNs [KindMetrics + 1]*obs.Histogram
+	// handshakeRejected counts handshakes that did not complete: bad
+	// magic, an oversized or malformed Hello, failed authentication, or an
+	// I/O error or timeout before the Hello was accepted.
+	handshakeRejected *obs.Counter
 }
 
 // Listen starts a server on a fresh TCP listener at addr ("host:port";
@@ -113,6 +126,11 @@ func Serve(w *warehouse.Warehouse, ln net.Listener, cfg Config) *Server {
 		requests:      reg.Counter("wire.requests"),
 		requestErrs:   reg.Counter("wire.request.errors"),
 		requestNs:     reg.Histogram("wire.request.ns"),
+
+		handshakeRejected: reg.Counter("wire.handshake.rejected"),
+	}
+	for k := KindPing; k <= KindMetrics; k++ {
+		s.kindNs[k] = reg.Histogram("wire.request." + k.String() + ".ns")
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -206,6 +224,7 @@ func (s *Server) session(conn net.Conn) {
 	}()
 
 	if err := s.handshake(conn); err != nil {
+		s.handshakeRejected.Inc()
 		return
 	}
 
@@ -265,7 +284,7 @@ func (s *Server) handshake(conn net.Conn) error {
 	if string(magic[:]) != string(Magic) {
 		return fmt.Errorf("wire: bad magic preamble")
 	}
-	hello, _, err := ReadFrame(conn, nil, s.cfg.MaxFrame)
+	hello, _, err := ReadFrame(conn, nil, min(s.cfg.MaxFrame, maxHelloFrame))
 	if err != nil {
 		return err
 	}
@@ -302,7 +321,11 @@ func (s *Server) handle(req Frame) Frame {
 	if resp.Kind == KindError {
 		s.requestErrs.Inc()
 	}
-	s.requestNs.ObserveSince(start)
+	ns := time.Since(start).Nanoseconds()
+	s.requestNs.Observe(ns)
+	if int(req.Kind) < len(s.kindNs) && s.kindNs[req.Kind] != nil {
+		s.kindNs[req.Kind].Observe(ns)
+	}
 	return resp
 }
 
