@@ -1,3 +1,9 @@
+// Package costmodel is the view-selection advisor: it mines a warehouse's
+// operation log (queries and deltas with their measured latencies),
+// clusters ad-hoc queries into candidate GPSJ views, derives each through
+// the minimal-auxiliary pipeline to measure its footprint, and ranks the
+// candidates by query time saved against maintenance cost under a space
+// budget.
 package costmodel
 
 import (

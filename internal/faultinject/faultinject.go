@@ -81,11 +81,6 @@ const (
 	// the WAL flushed-LSN rule was enforced but before the page bytes reach
 	// the file — the moment a torn page write would happen on a crash.
 	PageFlush
-	// DeferFlush fires in Warehouse.AdaptiveSession.Flush after deferred
-	// deltas were collected for batching, before the batch apply begins —
-	// a failure here must leave every buffered delta still pending, with
-	// no view or WAL effect.
-	DeferFlush
 	// BackfillSnapshot fires in the online CREATE MATERIALIZED VIEW path
 	// after the DDL intent was logged and the source snapshot cloned under
 	// the warehouse lock, before the background scan starts — a crash here
@@ -127,7 +122,6 @@ var pointNames = [NumPoints]string{
 	"BatchCommit",
 	"PageEvict",
 	"PageFlush",
-	"DeferFlush",
 	"BackfillSnapshot",
 	"BackfillScan",
 	"BackfillCatchUp",

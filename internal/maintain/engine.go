@@ -169,12 +169,6 @@ type Engine struct {
 	memoKey   string
 	memoScope string
 
-	// strategy is the per-apply maintenance strategy override, set for the
-	// duration of one StageWithPlan call (StrategyAuto between applies). It
-	// participates in the memo key: two engines may share memoized results
-	// only when they recompute along the same path.
-	strategy Strategy
-
 	// jnl is the per-apply undo log: every mutation of the auxiliary
 	// tables or the materialized view records the affected group's prior
 	// image, and any error during apply rolls the log back so the engine
@@ -429,16 +423,6 @@ func (e *Engine) ApplyStaged(d Delta) error { return e.StageWithMemo(d, nil) }
 // per-stage timings; deltas for unreferenced tables bypass even the clock
 // reads.
 func (e *Engine) StageWithMemo(d Delta, m *DeltaMemo) error {
-	return e.StageWithPlan(d, m, StrategyAuto)
-}
-
-// StageWithPlan is StageWithMemo under an explicit per-delta strategy (see
-// Strategy). The strategy holds for this one staged apply only; the
-// engine-level knobs (ForceFullRecompute, ShardMinRows) are untouched.
-// Coordinators of replica engines must pass the same strategy to each.
-func (e *Engine) StageWithPlan(d Delta, m *DeltaMemo, s Strategy) error {
-	e.strategy = NormalizeStrategy(s)
-	defer func() { e.strategy = StrategyAuto }()
 	if e.met == nil || !e.tableSet[d.Table] {
 		return e.stageWithMemo(d, m)
 	}

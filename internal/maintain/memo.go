@@ -111,7 +111,7 @@ func (e *Engine) buildMemoKey() string {
 	b.WriteString(e.memoScope)
 	b.WriteByte('|')
 	b.WriteString(e.plan.Fingerprint())
-	fmt.Fprintf(&b, "|ns=%t|ffr=%t|skip=%t|strat=%s", e.UseNeedSets, e.ForceFullRecompute, e.skipAux, e.strategy)
+	fmt.Fprintf(&b, "|ns=%t|ffr=%t|skip=%t", e.UseNeedSets, e.ForceFullRecompute, e.skipAux)
 	if len(e.residual) > 0 {
 		tabs := make([]string, 0, len(e.residual))
 		for t := range e.residual {
@@ -244,14 +244,14 @@ func (e *Engine) deltaDetailShared(t string, signed []signedRow) (detailCtx, []i
 // rollback, and the memo's copy must stay pristine for other consumers).
 func (e *Engine) recomputedGroups(keys groupSet) (map[string]tuple.Tuple, bool, error) {
 	compute := func() (map[string]tuple.Tuple, error) {
-		// The scoped-vs-full decision: an explicit per-apply StrategyFull
-		// (or the engine-level ForceFullRecompute oracle knob) takes the
-		// full join; otherwise the scoped path is attempted and its shape
-		// check — a pure function of the plan, identical across replica
-		// engines — decides the fallback. With a memo the whole closure
-		// runs once per (join key, group set), and the strategy is part of
-		// the join key, so replicas never mix results from different paths.
-		if !e.ForceFullRecompute && e.strategy != StrategyFull {
+		// The scoped-vs-full decision: the ForceFullRecompute oracle knob
+		// takes the full join; otherwise the scoped path is attempted and
+		// its shape check — a pure function of the plan, identical across
+		// replica engines — decides the fallback. With a memo the whole
+		// closure runs once per (join key, group set), and the knob is part
+		// of the join key, so replicas never mix results from different
+		// paths.
+		if !e.ForceFullRecompute {
 			groups, scoped, err := e.scopedGroups(keys)
 			if err != nil || scoped {
 				return groups, err

@@ -2,7 +2,6 @@ package maintain
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,20 +54,11 @@ const defaultShardMinRows = 256
 const maxShards = 16
 
 // shardable reports whether a stage over n rows should take the sharded
-// path. A per-apply strategy overrides the static ShardMinRows threshold:
-// StrategySharded engages the pipeline for any delta with enough rows to
-// partition, and an explicit serial strategy (scoped/full) pins the stage
-// serial even on a sharded engine — that is how a cost model decides shard
-// engagement per delta instead of per configuration. The decision affects
-// only scheduling, never results: the overlay protocol installs
-// bit-identical state at any fan-out.
+// path: the engine must be configured with Shards > 1 and the delta must
+// reach the ShardMinRows threshold. The decision affects only scheduling,
+// never results: the overlay protocol installs bit-identical state at any
+// fan-out.
 func (e *Engine) shardable(n int) bool {
-	switch e.strategy {
-	case StrategySharded:
-		return n >= 2
-	case StrategyScoped, StrategyFull:
-		return false
-	}
 	if e.Shards <= 1 {
 		return false
 	}
@@ -79,21 +69,10 @@ func (e *Engine) shardable(n int) bool {
 	return n >= min
 }
 
-// shardCount resolves the worker fan-out for a sharded stage. Engines not
-// configured with an explicit fan-out (reachable only under
-// StrategySharded) default to the machine's parallelism.
+// shardCount resolves the worker fan-out for a sharded stage (shardable
+// has already checked Shards > 1).
 func (e *Engine) shardCount() int {
-	s := e.Shards
-	if s <= 1 {
-		s = runtime.GOMAXPROCS(0)
-	}
-	if s > maxShards {
-		return maxShards
-	}
-	if s < 1 {
-		return 1
-	}
-	return s
+	return min(e.Shards, maxShards)
 }
 
 // shardPending is one group's overlay entry: the working row image (nil =

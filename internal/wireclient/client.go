@@ -35,34 +35,15 @@ type Client struct {
 	closed bool
 }
 
-// Options tunes Dial.
-type Options struct {
-	// DialTimeout bounds connect + handshake (<=0 selects
-	// DefaultDialTimeout).
-	DialTimeout time.Duration
-	// MaxFrame bounds a single response frame (<=0 selects
-	// wire.DefaultMaxFrame).
-	MaxFrame int
-}
-
 // Dial connects to a dwserver at addr and authenticates with the shared
-// secret.
+// secret; DefaultDialTimeout bounds connect + handshake.
 func Dial(addr, secret string) (*Client, error) {
-	return DialOptions(addr, secret, Options{})
-}
-
-// DialOptions is Dial with explicit options.
-func DialOptions(addr, secret string, o Options) (*Client, error) {
-	timeout := o.DialTimeout
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	c := &Client{conn: conn, br: bufio.NewReader(conn)}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+	if err := conn.SetDeadline(time.Now().Add(DefaultDialTimeout)); err != nil {
 		conn.Close()
 		return nil, err
 	}
